@@ -47,9 +47,12 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Quicker race pass over just the concurrent packages.
+# Quicker race pass over just the concurrent packages: the simulator and
+# metrics, the serving engine (engine goroutine, sessions, flight
+# recorder), the observability layer (Live, HTTP), and core (the
+# estimator breaker the engine drives).
 race:
-	$(GO) test -race ./internal/sim/ ./internal/metrics/
+	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/metrics/ ./internal/server/ ./internal/obs/...
 
 # Short fuzz passes over the trace decoders and the WAL scanner.
 fuzz:

@@ -81,7 +81,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 		policy    = fs.String("policy", "saio", "rate policy: saio, saga, pi, coupled, fixed, never")
 		frac      = fs.Float64("frac", 0.10, "requested fraction for saio (I/O share) or saga/pi (garbage share)")
 		interval  = fs.Int("interval", 200, "fixed policy: pointer overwrites per collection")
-		estimator = fs.String("estimator", "fgs-hb", "garbage estimator: oracle, cgs-cb, fgs-hb, fgs-window, fgs-pp")
+		estimator = fs.String("estimator", "fgs-hb", "garbage estimator: oracle, cgs-cb, fgs-hb, fgs-window, fgs-pp, fallback (fgs-hb behind a circuit breaker degrading to cgs-cb)")
 		history   = fs.Float64("history", 0.8, "estimator history factor (or window length for fgs-window)")
 		hist      = fs.Int("chist", 0, "saio history size c_hist in collections")
 		slopeRef  = fs.Uint64("sloperef", 0, "saga time-weighted slope reference interval (0 = paper formula)")

@@ -107,7 +107,7 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 	}
 
 	pol, breaker, err := buildPolicy(*policy, *frac, *interval, *initialIv, *estimator, *fallback, *history,
-		server.BreakerConfig{TripAfter: *tripAfter, Cooldown: *cooldown, HalfOpenProbes: *probes})
+		core.BreakerConfig{TripAfter: *tripAfter, Cooldown: *cooldown, HalfOpenProbes: *probes})
 	if err != nil {
 		return err
 	}
@@ -350,8 +350,8 @@ func runWithShutdown(sd *obs.Shutdown, args []string, stdout, stderr io.Writer) 
 // policies get their estimator wrapped in the circuit breaker (primary =
 // the requested estimator, fallback = the coarse one), and the breaker is
 // returned so the engine can export its state.
-func buildPolicy(name string, frac float64, interval int, initialIv uint64, primary, fallback string, history float64, bcfg server.BreakerConfig) (core.RatePolicy, *server.Breaker, error) {
-	newEst := func() (core.Estimator, *server.Breaker, error) {
+func buildPolicy(name string, frac float64, interval int, initialIv uint64, primary, fallback string, history float64, bcfg core.BreakerConfig) (core.RatePolicy, *core.Breaker, error) {
+	newEst := func() (core.Estimator, *core.Breaker, error) {
 		p, err := core.NewEstimator(primary, history)
 		if err != nil {
 			return nil, nil, err
@@ -360,9 +360,9 @@ func buildPolicy(name string, frac float64, interval int, initialIv uint64, prim
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := server.NewBreaker(bcfg, p, f)
+		b, err := core.NewBreaker(bcfg, p, f)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("-breaker-trip/-breaker-cooldown/-breaker-probes: %w", err)
 		}
 		return b, b, nil
 	}

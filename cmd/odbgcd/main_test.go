@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"odbgc/internal/core"
 	"odbgc/internal/obs"
 	"odbgc/internal/server"
 )
@@ -30,6 +31,9 @@ func TestFlagValidation(t *testing.T) {
 		{"bad selection", []string{"-selection", "bogus"}, "selection"},
 		{"bad geometry", []string{"-page-size", "-1"}, "PageSize"},
 		{"bad queue", []string{"-queue-depth", "-5"}, "queue depth"},
+		{"negative breaker trip", []string{"-breaker-trip", "-3"}, "TripAfter:-3"},
+		{"negative breaker cooldown", []string{"-breaker-cooldown", "-1"}, "Cooldown:-1"},
+		{"negative breaker probes", []string{"-breaker-probes", "-2"}, "HalfOpenProbes:-2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,7 +159,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 }
 
 func TestBuildPolicyWiresBreaker(t *testing.T) {
-	bcfg := server.BreakerConfig{TripAfter: 2, Cooldown: 2, HalfOpenProbes: 1}
+	bcfg := core.BreakerConfig{TripAfter: 2, Cooldown: 2, HalfOpenProbes: 1}
 	pol, b, err := buildPolicy("saga", 0.1, 0, 0, "fgs-hb", "cgs-cb", 0.8, bcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -121,10 +121,11 @@ func (e *FGSHB) EstimateGarbage(h HeapState) float64 {
 }
 
 // NewEstimator constructs an estimator by name: "oracle", "cgs-cb",
-// "fgs-hb", "fgs-window", "fgs-pp", or "fallback" (FGS/HB degrading to
-// CGS/CB on signal dropout). The history parameter is the exponential-mean
-// factor for fgs-hb/fgs-pp/fallback (0 means the paper's 0.8) and the window
-// length for fgs-window (0 means 8).
+// "fgs-hb", "fgs-window", "fgs-pp", or "fallback" (FGS/HB behind a Breaker
+// with the default BreakerConfig, degrading to CGS/CB on signal dropout).
+// The history parameter is the exponential-mean factor for
+// fgs-hb/fgs-pp/fallback (0 means the paper's 0.8) and the window length
+// for fgs-window (0 means 8).
 func NewEstimator(name string, history float64) (Estimator, error) {
 	switch name {
 	case "oracle":
@@ -137,7 +138,7 @@ func NewEstimator(name string, history float64) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewFallbackEstimator(primary, NewCGSCB(), 0, 0)
+		return NewBreaker(BreakerConfig{}, primary, NewCGSCB())
 	case "cgs-cb":
 		return NewCGSCB(), nil
 	case "fgs-hb", "":

@@ -355,46 +355,49 @@ func (e *FGSPerPartition) RestoreState(data []byte) error {
 	return nil
 }
 
-type fallbackState struct {
-	Primary    []byte
-	Fallback   []byte
-	Bad        int
-	Good       int
-	Tripped    bool
-	Trips      uint64
-	Recoveries uint64
+type breakerState struct {
+	Primary      []byte
+	Fallback     []byte
+	State        BreakerState
+	ConsecBad    int
+	CooldownLeft int
+	ProbesGood   int
+	Trips        uint64
+	Recoveries   uint64
+	BadSignals   uint64
 }
 
-// SnapshotState implements Snapshotter.
-func (e *FallbackEstimator) SnapshotState() ([]byte, error) {
-	primary, err := SnapshotComponent(e.primary)
+// SnapshotState implements Snapshotter; both wrapped estimators' state
+// rides along.
+func (b *Breaker) SnapshotState() ([]byte, error) {
+	primary, err := SnapshotComponent(b.primary)
 	if err != nil {
 		return nil, err
 	}
-	fallback, err := SnapshotComponent(e.fallback)
+	fallback, err := SnapshotComponent(b.fallback)
 	if err != nil {
 		return nil, err
 	}
-	return gobEncode(fallbackState{
+	return gobEncode(breakerState{
 		Primary: primary, Fallback: fallback,
-		Bad: e.bad, Good: e.good, Tripped: e.tripped,
-		Trips: e.trips, Recoveries: e.recoveries,
+		State: b.state, ConsecBad: b.consecBad, CooldownLeft: b.cooldownLeft, ProbesGood: b.probesGood,
+		Trips: b.trips, Recoveries: b.recoveries, BadSignals: b.badSignals,
 	})
 }
 
 // RestoreState implements Snapshotter.
-func (e *FallbackEstimator) RestoreState(data []byte) error {
-	var st fallbackState
+func (b *Breaker) RestoreState(data []byte) error {
+	var st breakerState
 	if err := gobDecode(data, &st); err != nil {
 		return err
 	}
-	if err := RestoreComponent(e.primary, st.Primary); err != nil {
+	if err := RestoreComponent(b.primary, st.Primary); err != nil {
 		return err
 	}
-	if err := RestoreComponent(e.fallback, st.Fallback); err != nil {
+	if err := RestoreComponent(b.fallback, st.Fallback); err != nil {
 		return err
 	}
-	e.bad, e.good, e.tripped = st.Bad, st.Good, st.Tripped
-	e.trips, e.recoveries = st.Trips, st.Recoveries
+	b.state, b.consecBad, b.cooldownLeft, b.probesGood = st.State, st.ConsecBad, st.CooldownLeft, st.ProbesGood
+	b.trips, b.recoveries, b.badSignals = st.Trips, st.Recoveries, st.BadSignals
 	return nil
 }

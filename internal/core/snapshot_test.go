@@ -143,11 +143,11 @@ func TestPolicySnapshotRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := NewFallbackEstimator(prim, NewCGSCB(), 1, 3)
+		b, err := NewBreaker(BreakerConfig{TripAfter: 1, HalfOpenProbes: 3}, prim, NewCGSCB())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewSAGA(SAGAConfig{Frac: 0.05}, fe)
+		p, err := NewSAGA(SAGAConfig{Frac: 0.05}, b)
 		if err != nil {
 			t.Fatal(err)
 		}

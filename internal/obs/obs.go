@@ -17,7 +17,10 @@
 // structs.
 package obs
 
-import "odbgc/internal/core"
+import (
+	"odbgc/internal/core"
+	"odbgc/internal/storage"
+)
 
 // SchemaVersion identifies the JSONL event schema. Bump on any change to
 // event field sets or semantics; consumers reject versions they don't know.
@@ -60,6 +63,11 @@ type IO struct {
 	GCWrites  uint64 `json:"gc_writes"`
 }
 
+// ioOf converts a storage.IOStats.
+func ioOf(s storage.IOStats) IO {
+	return IO{AppReads: s.AppReads, AppWrites: s.AppWrites, GCReads: s.GCReads, GCWrites: s.GCWrites}
+}
+
 // PhaseChange marks an application phase transition.
 type PhaseChange struct {
 	Step        int    `json:"step"` // event cursor when the phase began
@@ -84,8 +92,24 @@ type Decision struct {
 	Idle         bool   `json:"idle,omitempty"`
 }
 
-// Collection records one completed collection — the observer-facing twin of
-// sim.CollectionRecord.
+// DecisionOf builds the Decision event for one control step; step is the
+// driver's event (or request) count and collected is core.Collect's ok.
+func DecisionOf(c core.Collection, step int, collected, idle bool) Decision {
+	return Decision{
+		Step:         step,
+		Clock:        ClockOf(c.Clock),
+		DBBytes:      c.DatabaseBytes,
+		GarbageBytes: c.ActualGarbageBytes,
+		Collected:    collected,
+		Estimate:     Float(c.EstimatedGarbageBytes),
+		Target:       Float(c.TargetGarbageBytes),
+		NextInterval: c.NextInterval,
+		Idle:         idle,
+	}
+}
+
+// Collection records one completed collection — the observer-facing form
+// of core.Collection (see CollectionOf).
 type Collection struct {
 	Index            int    `json:"index"`
 	Step             int    `json:"step"`
@@ -105,6 +129,31 @@ type Collection struct {
 	EstimatedFrac    Float  `json:"estimated_frac"`
 	TargetFrac       Float  `json:"target_frac"`
 	NextInterval     uint64 `json:"next_interval"`
+}
+
+// CollectionOf builds the Collection event for one control step's record;
+// step is the driver's event (or request) count.
+func CollectionOf(c core.Collection, step int) Collection {
+	return Collection{
+		Index:            c.Index,
+		Step:             step,
+		Phase:            c.Phase,
+		Clock:            ClockOf(c.Clock),
+		Interval:         c.Interval,
+		Partition:        int(c.Partition),
+		ReclaimedBytes:   c.ReclaimedBytes,
+		ReclaimedObjects: c.ReclaimedObjects,
+		LiveBytes:        c.LiveBytes,
+		PartitionPO:      c.PartitionPO,
+		IO:               ioOf(c.IO),
+		CumulativeIO:     ioOf(c.CumulativeIO),
+		DBBytes:          c.DatabaseBytes,
+		GarbageBytes:     c.ActualGarbageBytes,
+		GarbageFrac:      Float(c.ActualGarbageFrac),
+		EstimatedFrac:    Float(c.EstimatedGarbageFrac),
+		TargetFrac:       Float(c.TargetGarbageFrac),
+		NextInterval:     c.NextInterval,
+	}
 }
 
 // Fault records one injected storage fault.

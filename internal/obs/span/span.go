@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 
+	"odbgc/internal/core"
 	"odbgc/internal/obs"
 )
 
@@ -134,6 +135,17 @@ func (sp *Span) SetStage(stage int, ticks int64) {
 		return
 	}
 	sp.Stages[stage] = ticks
+}
+
+// SetCollection copies one control step's attribution onto a KindGC span:
+// the same numbers the step's Collection event carries.
+func (sp *Span) SetCollection(c core.Collection) {
+	sp.Partition = int(c.Partition)
+	sp.ReclaimedBytes = c.ReclaimedBytes
+	sp.ReclaimedObjects = c.ReclaimedObjects
+	sp.TracedObjects = c.LiveObjects
+	sp.EstimateFrac = obs.Float(c.EstimatedGarbageFrac)
+	sp.TargetFrac = obs.Float(c.TargetGarbageFrac)
 }
 
 // Duration returns End-Start (0 for a nil span).

@@ -108,6 +108,9 @@ type Engine struct {
 	requests uint64 // admitted requests processed (engine goroutine only)
 	gcSeq    uint64 // collection spans emitted (engine goroutine only)
 	commits  uint64 // durable batches committed (engine goroutine only)
+	// lastGCOverwrites is the overwrite clock at the last collection, the
+	// base of the next record's Interval (engine goroutine only).
+	lastGCOverwrites uint64
 
 	// ewmaMs is the exponentially weighted mean service time in
 	// milliseconds, stored as float64 bits so Submit (session goroutines)
@@ -262,7 +265,7 @@ func (e *Engine) process(c *call) {
 	// GC after responding: collection time is not billed to the request
 	// that happened to trigger it — but the collection's span is parented
 	// to it, attributing the pause to the traffic that provoked it.
-	if e.cfg.Policy.ShouldCollect(e.clock()) {
+	if e.cfg.Policy.ShouldCollect(core.ClockOf(e.heap)) {
 		e.collect(c.spanID)
 	}
 
@@ -302,13 +305,6 @@ func (e *Engine) commitDurable() error {
 		}
 	}
 	return nil
-}
-
-// clock assembles the policy clock from live counters, exactly as the
-// simulator does from replayed ones.
-func (e *Engine) clock() core.Clock {
-	st := e.heap.Disk().Stats()
-	return core.Clock{AppIO: st.AppIO(), GCIO: st.GCIO(), Overwrites: e.heap.OverwriteClock()}
 }
 
 // fail classifies, counts, and formats an op error.
@@ -419,30 +415,14 @@ func (e *Engine) stats() *Stats {
 	return st
 }
 
-// collect runs one online collection: partition selection, the copy pass,
-// policy feedback, breaker bookkeeping, and observer events — the serving
-// twin of the simulator's collect step. parent is the span ID of the
+// collect runs one control step online and does the server's own work
+// around it: the WAL commit of the reclaim, breaker bookkeeping, the
+// wall-clock GC span, and observer events. parent is the span ID of the
 // request whose processing triggered this collection (0 when tracing is
-// off); the collection's own span is emitted as its child and the parent
-// is pinned in the flight recorder so the attribution survives eviction.
+// off).
 func (e *Engine) collect(parent uint64) {
-	now := e.clock()
-	part, ok := e.cfg.Selection.Select(e.heap)
-	if !ok {
-		// Nothing worth collecting; reschedule off an empty result so the
-		// policy does not retrigger on every request.
-		e.cfg.Policy.AfterCollection(now, e.heap, gc.CollectionResult{})
-		e.emitDecision(now, false)
-		return
-	}
-	var gsp *span.Span
-	if rec := e.cfg.Recorder; rec != nil {
-		e.gcSeq++
-		gsp = rec.Start(span.KindGC, "collect", span.GCID(e.gcSeq), parent, e.Now())
-		gsp.Seq = e.gcSeq
-		gsp.QueuedBehind = len(e.queue)
-	}
-	res, err := e.heap.Collect(part)
+	start := e.Now()
+	rec, ok, err := core.Collect(e.cfg.Policy, e.cfg.Selection, e.heap)
 	if err != nil {
 		// A failed collection is a policy-path failure: count it, feed the
 		// breaker, and keep serving — the heap refuses to mutate on the
@@ -452,110 +432,57 @@ func (e *Engine) collect(parent uint64) {
 		e.cfg.Metrics.Error(simerr.Classify(err))
 		if e.cfg.Breaker != nil {
 			e.cfg.Breaker.RecordFailure()
-			e.cfg.Metrics.BreakerObserve(e.cfg.Breaker.State(), e.cfg.Breaker.Trips(), e.cfg.Breaker.Recoveries())
 		}
-		if gsp != nil {
-			e.finishGCSpan(gsp, parent, span.OutcomeError)
-		}
-		return
 	}
-	// Commit the reclaim record this collection staged: a recovered heap
-	// must never resurrect collected garbage, so the reclaim is durable
-	// before any later batch can build on the space it freed.
-	if cerr := e.commitDurable(); cerr != nil {
-		e.cfg.Metrics.Error(simerr.Classify(cerr))
-	}
-	if yo, ok := e.cfg.Selection.(gc.YieldObserver); ok {
-		yo.ObserveCollection(res)
-	}
-	after := e.clock()
-	e.cfg.Policy.AfterCollection(after, e.heap, res)
-	if e.cfg.Breaker != nil {
-		e.cfg.Metrics.BreakerObserve(e.cfg.Breaker.State(), e.cfg.Breaker.Trips(), e.cfg.Breaker.Recoveries())
-	}
-	if gsp != nil {
-		gsp.Partition = int(res.Partition)
-		gsp.ReclaimedBytes = res.ReclaimedBytes
-		gsp.ReclaimedObjects = res.ReclaimedObjects
-		gsp.TracedObjects = res.LiveObjects
-		if e.cfg.Breaker != nil {
-			gsp.Breaker = e.cfg.Breaker.State().String()
+	e.cfg.Metrics.BreakerObserve(e.cfg.Breaker)
+	if ok {
+		// Commit the reclaim record this collection staged: a recovered
+		// heap must never resurrect collected garbage, so the reclaim is
+		// durable before any later batch can build on the space it freed.
+		// The commit writes only the WAL, so the policy clock the step
+		// read is unchanged by it.
+		if cerr := e.commitDurable(); cerr != nil {
+			e.cfg.Metrics.Error(simerr.Classify(cerr))
 		}
-		if d, ok := e.cfg.Policy.(interface {
-			LastEstimate() float64
-			LastTarget() float64
-			LastInterval() uint64
-		}); ok {
-			if db := e.heap.DatabaseBytes(); db > 0 {
-				gsp.EstimateFrac = obs.Float(d.LastEstimate() / float64(db))
-				gsp.TargetFrac = obs.Float(d.LastTarget() / float64(db))
-			}
-		}
-		e.finishGCSpan(gsp, parent, span.OutcomeOK)
+		rec.Phase = "serving"
+		rec.Interval = rec.Clock.Overwrites - e.lastGCOverwrites
+		e.lastGCOverwrites = rec.Clock.Overwrites
 	}
-	e.emitDecision(after, true)
-	if e.cfg.Observer != nil {
-		ev := obs.Collection{
-			Index:            int(e.heap.Collections()),
-			Step:             int(e.requests),
-			Phase:            "serving",
-			Clock:            obs.ClockOf(after),
-			Partition:        int(res.Partition),
-			ReclaimedBytes:   res.ReclaimedBytes,
-			ReclaimedObjects: res.ReclaimedObjects,
-			LiveBytes:        res.LiveBytes,
-			PartitionPO:      res.PartitionPO,
-			IO:               obs.IO{AppReads: res.IO.AppReads, AppWrites: res.IO.AppWrites, GCReads: res.IO.GCReads, GCWrites: res.IO.GCWrites},
-			DBBytes:          e.heap.DatabaseBytes(),
+	if e.cfg.Recorder != nil && (ok || err != nil) {
+		e.traceGC(parent, start, rec, err)
+	}
+	if err == nil && e.cfg.Observer != nil {
+		e.cfg.Observer.ObserveDecision(obs.DecisionOf(rec, int(e.requests), ok, false))
+		if ok {
+			e.cfg.Observer.ObserveCollection(obs.CollectionOf(rec, int(e.requests)))
 		}
-		if d, ok := e.cfg.Policy.(interface {
-			LastEstimate() float64
-			LastTarget() float64
-			LastInterval() uint64
-		}); ok {
-			if db := ev.DBBytes; db > 0 {
-				ev.EstimatedFrac = obs.Float(d.LastEstimate() / float64(db))
-				ev.TargetFrac = obs.Float(d.LastTarget() / float64(db))
-			}
-			ev.NextInterval = d.LastInterval()
-		}
-		e.cfg.Observer.ObserveCollection(ev)
 	}
 }
 
-// finishGCSpan closes a collection span: the pause duration lands in the
+// traceGC records the span of a collection that began at tick start, as a
+// child of the request span parent: the pause duration lands in the
 // service stage, the GC pause histogram gets the sample with the span as
 // exemplar, and the triggering request is pinned so the parent link in the
-// flight recorder stays resolvable.
-func (e *Engine) finishGCSpan(gsp *span.Span, parent uint64, outcome string) {
+// flight recorder stays resolvable. A failed collection (err != nil) gets
+// an error span without attribution.
+func (e *Engine) traceGC(parent uint64, start int64, rec core.Collection, err error) {
+	e.gcSeq++
+	gsp := e.cfg.Recorder.Start(span.KindGC, "collect", span.GCID(e.gcSeq), parent, start)
+	gsp.Seq = e.gcSeq
+	gsp.QueuedBehind = len(e.queue)
+	outcome := span.OutcomeError
+	if err == nil {
+		outcome = span.OutcomeOK
+		gsp.SetCollection(rec)
+		if e.cfg.Breaker != nil {
+			gsp.Breaker = e.cfg.Breaker.State().String()
+		}
+	}
 	end := e.Now()
-	gsp.SetStage(span.StageService, end-gsp.Start)
-	e.cfg.Metrics.Stage(MetricGCPause, float64(end-gsp.Start)/1e6, gsp.ID)
+	gsp.SetStage(span.StageService, end-start)
+	e.cfg.Metrics.Stage(MetricGCPause, float64(end-start)/1e6, gsp.ID)
 	if parent != 0 {
 		e.cfg.Recorder.PinID(parent)
 	}
 	e.cfg.Recorder.Finish(gsp, end, outcome)
-}
-
-// emitDecision reports one policy consultation to the observer.
-func (e *Engine) emitDecision(now core.Clock, collected bool) {
-	if e.cfg.Observer == nil {
-		return
-	}
-	d := obs.Decision{
-		Step:      int(e.requests),
-		Clock:     obs.ClockOf(now),
-		DBBytes:   e.heap.DatabaseBytes(),
-		Collected: collected,
-	}
-	if diag, ok := e.cfg.Policy.(interface {
-		LastEstimate() float64
-		LastTarget() float64
-		LastInterval() uint64
-	}); ok {
-		d.Estimate = obs.Float(diag.LastEstimate())
-		d.Target = obs.Float(diag.LastTarget())
-		d.NextInterval = diag.LastInterval()
-	}
-	e.cfg.Observer.ObserveDecision(d)
 }

@@ -201,14 +201,15 @@ func (m *Metrics) RecoveryObserve(records, batches, objects int, ms float64, tor
 }
 
 // BreakerObserve publishes the breaker's current state and cumulative
-// trip/recovery counters (counters are set as totals via gauge-style
-// deltas computed by the caller; the breaker reports monotone values, so
-// the metrics layer stores the difference).
-func (m *Metrics) BreakerObserve(state BreakerState, trips, recoveries uint64) {
-	if m == nil {
+// trip/recovery counters (the breaker reports monotone totals; the metrics
+// layer adds the difference from what the registry already holds). A nil
+// breaker publishes nothing.
+func (m *Metrics) BreakerObserve(b *Breaker) {
+	if m == nil || b == nil {
 		return
 	}
-	m.set(MetricBreakerState, float64(state))
+	trips, recoveries := b.Trips(), b.Recoveries()
+	m.set(MetricBreakerState, float64(b.State()))
 	// Counters must only move forward; compute the delta from what the
 	// registry already holds.
 	if cur := m.reg.Counter(MetricBreakerTrips); float64(trips) > cur {

@@ -211,7 +211,7 @@ func TestSAGAFallbackAbsorbsSignalDropout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, err := core.NewFallbackEstimator(chaotic, core.NewCGSCB(), 2, 3)
+	fe, err := core.NewBreaker(core.BreakerConfig{TripAfter: 2, HalfOpenProbes: 3}, chaotic, core.NewCGSCB())
 	if err != nil {
 		t.Fatal(err)
 	}
