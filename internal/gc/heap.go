@@ -29,23 +29,25 @@ type Heap struct {
 	store *objstore.Store
 	disk  *storage.Manager
 
-	// remset[p][dst][src] counts pointer slots in object src (placed
-	// outside partition p) that reference object dst (placed in p).
-	remset map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int
+	// remset[dst][src] counts pointer slots in object src that reference
+	// object dst placed in another partition. Objects never change
+	// partition, so the entry needs no partition key: dst's placement
+	// names the partition whose collection treats dst as a root.
+	remset map[objstore.OID]map[objstore.OID]int
 
 	// po[p] counts pointer overwrites whose old target lay in partition p
 	// since p was last collected (the paper's FGS state; also drives
 	// UPDATEDPOINTER selection).
-	po map[storage.PartitionID]int
+	po []int
 
 	// totalOverwrites is the SAGA clock: every non-initializing pointer
 	// overwrite ticks it once.
 	totalOverwrites uint64
 
 	// Oracle ledger. oracleDead holds objects known unreachable but not yet
-	// reclaimed; oracleDeadBytes indexes their bytes by partition.
+	// reclaimed; oracleDeadBytes[p] sums their bytes in partition p.
 	oracleDead       map[objstore.OID]struct{}
-	oracleDeadBytes  map[storage.PartitionID]int
+	oracleDeadBytes  []int
 	totalGarbage     uint64 // cumulative bytes of garbage ever created
 	totalCollected   uint64 // cumulative bytes reclaimed by the collector
 	totalCollections uint64
@@ -83,16 +85,12 @@ type Heap struct {
 	scratch collectScratch
 }
 
-// collectScratch is the collector's reusable working memory: the maps are
-// cleared and the slices truncated at the start of every collection.
+// collectScratch is the collector's reusable working memory: the slices are
+// truncated at the start of every collection.
 type collectScratch struct {
-	memberSet map[objstore.OID]struct{}
-	seen      map[objstore.OID]struct{}
-	liveSize  map[objstore.OID]int
-	fixups    map[objstore.OID]struct{}
-	members   []objstore.OID
-	queue     []objstore.OID // doubles as the root list: roots are its prefix
-	live      []objstore.OID
+	members   []objstore.OID // the partition's objects, ascending
+	seen      []bool         // seen[i] marks members[i] as reached
+	queue     []objstore.OID // Cheney queue: roots first, then the copy order
 	deadList  []objstore.OID
 	fixupList []objstore.OID
 }
@@ -100,19 +98,23 @@ type collectScratch struct {
 // NewHeap wraps a store and a storage manager. Both must start empty or the
 // heap's incremental bookkeeping will not match their contents.
 func NewHeap(store *objstore.Store, disk *storage.Manager) *Heap {
-	return &Heap{
-		store:           store,
-		disk:            disk,
-		remset:          make(map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int),
-		po:              make(map[storage.PartitionID]int),
-		oracleDead:      make(map[objstore.OID]struct{}),
-		oracleDeadBytes: make(map[storage.PartitionID]int),
-		scratch: collectScratch{
-			memberSet: make(map[objstore.OID]struct{}),
-			seen:      make(map[objstore.OID]struct{}),
-			liveSize:  make(map[objstore.OID]int),
-			fixups:    make(map[objstore.OID]struct{}),
-		},
+	h := &Heap{
+		store:      store,
+		disk:       disk,
+		remset:     make(map[objstore.OID]map[objstore.OID]int),
+		oracleDead: make(map[objstore.OID]struct{}),
+	}
+	h.growPartitions()
+	return h
+}
+
+// growPartitions extends the per-partition counters to cover every
+// partition the storage manager has allocated. Partitions are never
+// deallocated, so the counters only grow.
+func (h *Heap) growPartitions() {
+	for len(h.po) < h.disk.NumPartitions() {
+		h.po = append(h.po, 0)
+		h.oracleDeadBytes = append(h.oracleDeadBytes, 0)
 	}
 }
 
@@ -155,8 +157,22 @@ func (h *Heap) SetRetry(retry func(op string, fn func() error) error) { h.retry 
 // nil fast path then never constructs the operation closure, so the common
 // (fault-free) configuration allocates nothing per storage operation.
 
-// Create allocates an object logically and physically.
+// Create allocates an object logically and physically. It validates the
+// request before mutating anything, so a rejected create leaves the store,
+// the placement table and the WAL untouched.
 func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) error {
+	pageSize := h.disk.Config().PageSize
+	if size <= 0 || size > pageSize {
+		return fmt.Errorf("gc: create %v: size %d outside (0, %d]", oid, size, pageSize)
+	}
+	// An object's pointer slots are part of it, and an object never spans
+	// a page.
+	if nslots < 0 || nslots > pageSize/8 {
+		return fmt.Errorf("gc: create %v: %d slots outside [0, %d]", oid, nslots, pageSize/8)
+	}
+	if _, placed := h.disk.PartitionOf(oid); placed {
+		return fmt.Errorf("gc: create %v: object already placed", oid)
+	}
 	if _, err := h.store.CreateWithOID(oid, class, size, nslots); err != nil {
 		return err
 	}
@@ -165,15 +181,18 @@ func (h *Heap) Create(oid objstore.OID, class objstore.Class, size, nslots int) 
 			return fmt.Errorf("gc: log alloc %v: %w", oid, err)
 		}
 	}
+	var err error
 	if h.retry == nil {
-		_, err := h.disk.Allocate(oid, size)
-		return err
+		_, err = h.disk.Allocate(oid, size)
+	} else {
+		//lint:allow hotalloc closure built only when fault-injection retry is installed
+		err = h.retry("alloc", func() error {
+			_, err := h.disk.Allocate(oid, size)
+			return err
+		})
 	}
-	//lint:allow hotalloc closure built only when fault-injection retry is installed
-	return h.retry("alloc", func() error {
-		_, err := h.disk.Allocate(oid, size)
-		return err
-	})
+	h.growPartitions()
+	return err
 }
 
 // AddRoot registers oid as a persistent root, logging the change when a
@@ -233,8 +252,8 @@ func (h *Heap) Update(oid objstore.OID) error {
 // as overwrites for the rate policies (they cannot create garbage).
 // The recorded old value from the trace is checked against the store.
 func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, init bool) error {
-	// Validate the recorded old value before mutating anything, so a
-	// corrupt trace cannot leave the slot half-applied.
+	// Validate the recorded old value and every placement before mutating
+	// anything, so a corrupt trace cannot leave the slot half-applied.
 	o := h.store.Get(src)
 	if o == nil {
 		return fmt.Errorf("gc: overwrite on absent object %v", src)
@@ -245,6 +264,18 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	if o.Slots[slot] != wantOld {
 		return fmt.Errorf("gc: overwrite %v[%d]: trace says old=%v, store has %v",
 			src, slot, wantOld, o.Slots[slot])
+	}
+	srcPart, ok := h.disk.PartitionOf(src)
+	if !ok {
+		return fmt.Errorf("gc: overwrite source %v has no placement", src)
+	}
+	oldPart, ok := h.disk.PartitionOf(wantOld)
+	if !ok && !wantOld.IsNil() {
+		return fmt.Errorf("gc: old target %v has no placement", wantOld)
+	}
+	dstPart, ok := h.disk.PartitionOf(dst)
+	if !ok && !dst.IsNil() {
+		return fmt.Errorf("gc: new target %v has no placement", dst)
 	}
 	old, err := h.store.SetSlot(src, slot, dst)
 	if err != nil {
@@ -264,30 +295,16 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	if err != nil {
 		return err
 	}
-	srcPart, ok := h.disk.PartitionOf(src)
-	if !ok {
-		return fmt.Errorf("gc: overwrite source %v has no placement", src)
-	}
 	if !old.IsNil() {
-		oldPart, ok := h.disk.PartitionOf(old)
-		if !ok {
-			return fmt.Errorf("gc: old target %v has no placement", old)
-		}
 		if oldPart != srcPart {
-			h.remsetRemove(oldPart, old, src)
+			h.remsetRemove(old, src)
 		}
 		if !init {
 			h.po[oldPart]++
 		}
 	}
-	if !dst.IsNil() {
-		dstPart, ok := h.disk.PartitionOf(dst)
-		if !ok {
-			return fmt.Errorf("gc: new target %v has no placement", dst)
-		}
-		if dstPart != srcPart {
-			h.remsetAdd(dstPart, dst, src)
-		}
+	if !dst.IsNil() && dstPart != srcPart {
+		h.remsetAdd(dst, src)
 	}
 	if !init {
 		h.totalOverwrites++
@@ -295,35 +312,25 @@ func (h *Heap) Overwrite(src objstore.OID, slot int, wantOld, dst objstore.OID, 
 	return nil
 }
 
-func (h *Heap) remsetAdd(p storage.PartitionID, dst, src objstore.OID) {
-	m := h.remset[p]
-	if m == nil {
-		//lint:allow hotalloc amortized: one map per partition, reused for its life
-		m = make(map[objstore.OID]map[objstore.OID]int)
-		h.remset[p] = m
-	}
-	srcs := m[dst]
+func (h *Heap) remsetAdd(dst, src objstore.OID) {
+	srcs := h.remset[dst]
 	if srcs == nil {
 		//lint:allow hotalloc amortized: one map per remembered target, reused until collection
 		srcs = make(map[objstore.OID]int)
-		m[dst] = srcs
+		h.remset[dst] = srcs
 	}
 	srcs[src]++
 }
 
-func (h *Heap) remsetRemove(p storage.PartitionID, dst, src objstore.OID) {
-	m := h.remset[p]
-	if m == nil {
-		return
-	}
-	srcs := m[dst]
+func (h *Heap) remsetRemove(dst, src objstore.OID) {
+	srcs := h.remset[dst]
 	if srcs == nil {
 		return
 	}
 	if srcs[src] <= 1 {
 		delete(srcs, src)
 		if len(srcs) == 0 {
-			delete(m, dst)
+			delete(h.remset, dst)
 		}
 	} else {
 		srcs[src]--
@@ -331,9 +338,10 @@ func (h *Heap) remsetRemove(p storage.PartitionID, dst, src objstore.OID) {
 }
 
 // ExternallyReferenced reports whether dst (in partition p) has remembered
-// external references.
+// external references. Remembered sets are kept per target object, so p
+// is not consulted: dst's placement already determines it.
 func (h *Heap) ExternallyReferenced(p storage.PartitionID, dst objstore.OID) bool {
-	return len(h.remset[p][dst]) > 0
+	return len(h.remset[dst]) > 0
 }
 
 // RecordOracleDead registers objects the trace oracle declared unreachable.
@@ -359,17 +367,19 @@ func (h *Heap) RecordOracleDead(dead []objstore.OID) error {
 }
 
 // ActualGarbageBytes returns the oracle's exact count of unreclaimed
-// garbage bytes in the database.
-func (h *Heap) ActualGarbageBytes() int {
-	n := 0
-	for _, b := range h.oracleDeadBytes {
-		n += b
-	}
-	return n
-}
+// garbage bytes in the database: garbage created minus garbage collected
+// (the ledger identity CheckInvariants enforces against the per-partition
+// counts). In oracleless mode both sides advance at reclaim time, so it is
+// zero.
+func (h *Heap) ActualGarbageBytes() int { return int(h.totalGarbage - h.totalCollected) }
 
 // OracleGarbageIn returns the exact garbage bytes in one partition.
-func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return h.oracleDeadBytes[p] }
+func (h *Heap) OracleGarbageIn(p storage.PartitionID) int {
+	if p < 0 || int(p) >= len(h.oracleDeadBytes) {
+		return 0
+	}
+	return h.oracleDeadBytes[p]
+}
 
 // PinnedGarbageBytes returns the bytes of known garbage that the collector
 // could not reclaim right now even if it collected the right partition:
@@ -380,11 +390,7 @@ func (h *Heap) OracleGarbageIn(p storage.PartitionID) int { return h.oracleDeadB
 func (h *Heap) PinnedGarbageBytes() int {
 	pinned := 0
 	for oid := range h.oracleDead {
-		p, ok := h.disk.PartitionOf(oid)
-		if !ok {
-			continue
-		}
-		if h.ExternallyReferenced(p, oid) {
+		if len(h.remset[oid]) > 0 {
 			if o := h.store.Get(oid); o != nil {
 				pinned += o.Size
 			}
@@ -406,7 +412,12 @@ func (h *Heap) Collections() uint64 { return h.totalCollections }
 func (h *Heap) OverwriteClock() uint64 { return h.totalOverwrites }
 
 // PartitionOverwrites returns the FGS counter of one partition.
-func (h *Heap) PartitionOverwrites(p storage.PartitionID) int { return h.po[p] }
+func (h *Heap) PartitionOverwrites(p storage.PartitionID) int {
+	if p < 0 || int(p) >= len(h.po) {
+		return 0
+	}
+	return h.po[p]
+}
 
 // SumPartitionOverwrites returns Σ_p PO(p), the FGS state total.
 func (h *Heap) SumPartitionOverwrites() int {
@@ -460,79 +471,59 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		return CollectionResult{}, err
 	}
 
-	// All working sets below live in the reusable scratch.
+	// All working sets below live in the reusable scratch. Members are
+	// ascending, so a member's position is found by binary search and
+	// indexes the seen marks.
 	sc := &h.scratch
-	clear(sc.memberSet)
-	clear(sc.seen)
-	clear(sc.liveSize)
 	members := h.disk.AppendObjectsIn(sc.members[:0], p)
 	sc.members = members
-	memberSet := sc.memberSet
-	for _, oid := range members {
-		memberSet[oid] = struct{}{}
-	}
+	seen := slices.Grow(sc.seen[:0], len(members))[:len(members)]
+	sc.seen = seen
+	clear(seen)
 
 	// Partition roots: database roots and externally referenced objects.
 	// They seed the traversal queue; live objects are appended behind them.
 	queue := sc.queue[:0]
-	for _, oid := range members {
+	for i, oid := range members {
 		if h.store.IsRoot(oid) || h.ExternallyReferenced(p, oid) {
 			queue = append(queue, oid)
+			seen[i] = true
 		}
 	}
 
-	// Cheney breadth-first copy within the partition. The live list is the
+	// Cheney breadth-first copy within the partition. The queue is the
 	// copy order; pointers leaving the partition are not traversed.
-	live := sc.live[:0]
-	seen := sc.seen
-	for _, oid := range queue {
-		seen[oid] = struct{}{}
-	}
+	liveBytes := 0
 	for head := 0; head < len(queue); head++ {
-		oid := queue[head]
-		live = append(live, oid)
-		o := h.store.Get(oid)
+		o := h.store.Get(queue[head])
 		if o == nil {
-			return CollectionResult{}, fmt.Errorf("gc: placed object %v missing from store", oid)
+			return CollectionResult{}, fmt.Errorf("gc: placed object %v missing from store", queue[head])
 		}
+		liveBytes += o.Size
 		for _, t := range o.Slots {
 			if t.IsNil() {
 				continue
 			}
-			if _, inPart := memberSet[t]; !inPart {
+			i, inPart := slices.BinarySearch(members, t)
+			if !inPart || seen[i] {
 				continue
 			}
-			if _, dup := seen[t]; dup {
-				continue
-			}
-			seen[t] = struct{}{}
+			seen[i] = true
 			queue = append(queue, t)
 		}
 	}
 	sc.queue = queue
-	sc.live = live
+	live := queue
 
 	// Everything unreached is garbage. Tear down its bookkeeping before
-	// compaction removes its placement. Sizes are captured up front so the
-	// compaction callback below cannot encounter a missing object.
-	liveBytes := 0
-	liveSize := sc.liveSize
-	for _, oid := range live {
-		o := h.store.Get(oid)
-		if o == nil {
-			return CollectionResult{}, fmt.Errorf("gc: live object %v missing from store", oid)
-		}
-		liveSize[oid] = o.Size
-		liveBytes += o.Size
-	}
+	// compaction removes its placement.
 	deadList := sc.deadList[:0]
-	for _, oid := range members {
-		if _, ok := seen[oid]; !ok {
+	for i, oid := range members {
+		if !seen[i] {
 			deadList = append(deadList, oid)
 		}
 	}
 	sc.deadList = deadList
-	slices.Sort(deadList)
 
 	// Log the whole reclaim as one WAL record before any object leaves the
 	// store: either the commit containing it lands and every reclaimed
@@ -562,7 +553,7 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 				return CollectionResult{}, fmt.Errorf("gc: dead object %v references unplaced %v", oid, t)
 			}
 			if tp != p {
-				h.remsetRemove(tp, t, oid)
+				h.remsetRemove(t, oid)
 			}
 		}
 		// The oracle must have known: partitioned tracing is conservative
@@ -581,19 +572,22 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 		if err := h.store.Remove(oid); err != nil {
 			return CollectionResult{}, err
 		}
+		// Collected as it leaves the store, so created−collected stays the
+		// outstanding garbage even if the collection fails part-way.
+		h.totalCollected += uint64(o.Size)
 	}
 	if len(deadList) > 0 && h.oracleDeadBytes[p] < 0 {
 		return CollectionResult{}, fmt.Errorf("gc: negative oracle garbage in partition %d", p)
 	}
 
-	// Compact survivors in copy order. The sizeOf callback reads the scratch
-	// liveSize map; Compact uses it within the call only.
+	// Compact survivors in copy order. The traversal found every survivor
+	// in the store, so the sizeOf callback cannot miss.
 	if h.retry == nil {
-		_, err = h.disk.Compact(p, live, func(oid objstore.OID) int { return liveSize[oid] })
+		_, err = h.disk.Compact(p, live, func(oid objstore.OID) int { return h.store.Get(oid).Size })
 	} else {
 		//lint:allow hotalloc closure built only when fault-injection retry is installed
 		err = h.retry("compact", func() error {
-			_, err := h.disk.Compact(p, live, func(oid objstore.OID) int { return liveSize[oid] })
+			_, err := h.disk.Compact(p, live, func(oid objstore.OID) int { return h.store.Get(oid).Size })
 			return err
 		})
 	}
@@ -605,19 +599,15 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 	// referencing object must be rewritten; with logical OIDs (the
 	// default), only the resident object table changes, at no I/O cost.
 	if h.physicalFixups {
-		clear(sc.fixups)
-		fixups := sc.fixups
-		for _, srcs := range h.remset[p] {
-			for src := range srcs {
-				fixups[src] = struct{}{}
+		fixupList := sc.fixupList[:0]
+		for _, dst := range live {
+			for src := range h.remset[dst] {
+				fixupList = append(fixupList, src)
 			}
 		}
-		fixupList := sc.fixupList[:0]
-		for src := range fixups {
-			fixupList = append(fixupList, src)
-		}
-		sc.fixupList = fixupList
 		slices.Sort(fixupList)
+		fixupList = slices.Compact(fixupList)
+		sc.fixupList = fixupList
 		for _, src := range fixupList {
 			if h.retry == nil {
 				err = h.disk.Touch(src, true)
@@ -647,7 +637,6 @@ func (h *Heap) Collect(p storage.PartitionID) (CollectionResult, error) {
 
 	po := h.po[p]
 	h.po[p] = 0
-	h.totalCollected += uint64(reclaimedBytes)
 	h.totalCollections++
 
 	return CollectionResult{
@@ -668,7 +657,7 @@ func (h *Heap) CheckInvariants() error {
 		return err
 	}
 	// Rebuild remembered sets from scratch and compare.
-	want := make(map[storage.PartitionID]map[objstore.OID]map[objstore.OID]int)
+	want := make(map[objstore.OID]map[objstore.OID]int)
 	var rebuildErr error
 	h.store.ForEach(func(o *objstore.Object) {
 		if rebuildErr != nil {
@@ -691,15 +680,10 @@ func (h *Heap) CheckInvariants() error {
 			if tPart == srcPart {
 				continue
 			}
-			m := want[tPart]
-			if m == nil {
-				m = make(map[objstore.OID]map[objstore.OID]int)
-				want[tPart] = m
-			}
-			srcs := m[t]
+			srcs := want[t]
 			if srcs == nil {
 				srcs = make(map[objstore.OID]int)
-				m[t] = srcs
+				want[t] = srcs
 			}
 			srcs[o.OID]++
 		}
@@ -707,23 +691,17 @@ func (h *Heap) CheckInvariants() error {
 	if rebuildErr != nil {
 		return rebuildErr
 	}
-	for p, m := range h.remset {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				if want[p][dst][src] != n {
-					return fmt.Errorf("gc: remset[%d][%v][%v]=%d, ground truth %d",
-						p, dst, src, n, want[p][dst][src])
-				}
+	for dst, srcs := range h.remset {
+		for src, n := range srcs {
+			if want[dst][src] != n {
+				return fmt.Errorf("gc: remset[%v][%v]=%d, ground truth %d", dst, src, n, want[dst][src])
 			}
 		}
 	}
-	for p, m := range want {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				if h.remset[p][dst][src] != n {
-					return fmt.Errorf("gc: remset[%d][%v][%v] missing entry with ground truth %d",
-						p, dst, src, n)
-				}
+	for dst, srcs := range want {
+		for src, n := range srcs {
+			if h.remset[dst][src] != n {
+				return fmt.Errorf("gc: remset[%v][%v] missing entry with ground truth %d", dst, src, n)
 			}
 		}
 	}

@@ -312,6 +312,71 @@ func TestOverwriteValidation(t *testing.T) {
 	}
 }
 
+// TestOverwriteOfUnplacedObjectMutatesNothing checks that an overwrite on
+// an object with no placement fails before its slot changes.
+func TestOverwriteOfUnplacedObjectMutatesNothing(t *testing.T) {
+	h := testHeap(t)
+	mk(t, h, 1, 100, 0)
+	if _, err := h.Store().CreateWithOID(2, objstore.ClassAtomicPart, 50, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Overwrite(2, 0, objstore.NilOID, 1, false); err == nil {
+		t.Fatal("overwrite on unplaced object accepted")
+	}
+	if got := h.Store().Get(2).Slots[0]; !got.IsNil() {
+		t.Errorf("rejected overwrite left slot pointing at %v", got)
+	}
+}
+
+// allocLog is a durability backend that only counts LogAlloc calls.
+type allocLog struct {
+	storage.Backend
+	allocs int
+}
+
+func (l *allocLog) LogAlloc(objstore.OID, objstore.Class, int, int) error {
+	l.allocs++
+	return nil
+}
+
+// TestCreateRejectsBeforeMutating checks that a create the heap refuses
+// leaves the store, the placement table and the WAL untouched.
+func TestCreateRejectsBeforeMutating(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		size, nslots int
+		placed       bool
+	}{
+		{"zero size", 0, 0, false},
+		{"larger than a page", 101, 0, false},
+		{"negative slots", 50, -1, false},
+		{"slots larger than a page", 50, 13, false},
+		{"already placed", 50, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := testHeap(t)
+			wal := &allocLog{}
+			h.SetDurable(wal)
+			if tc.placed {
+				if _, err := h.Disk().Allocate(7, 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := h.Create(7, objstore.ClassAtomicPart, tc.size, tc.nslots); err == nil {
+				t.Fatal("create accepted")
+			}
+			if h.Store().Len() != 0 || wal.allocs != 0 {
+				t.Errorf("rejected create left %d objects and %d WAL records", h.Store().Len(), wal.allocs)
+			}
+			if err := h.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	h := testHeap(t)
+	mk(t, h, 1, 100, 12) // a full page of slots still fits
+}
+
 func TestClocksAndPOCounters(t *testing.T) {
 	h := testHeap(t)
 	mk(t, h, 1, 100, 2)

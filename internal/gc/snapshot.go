@@ -44,8 +44,27 @@ type HeapSnapshot struct {
 	Oracleless       bool
 }
 
-func sortCounters(cs []PartitionCounter) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Part < cs[j].Part })
+// counters lists the nonzero per-partition values in partition order.
+func counters(vs []int) []PartitionCounter {
+	var cs []PartitionCounter
+	for p, v := range vs {
+		if v != 0 {
+			cs = append(cs, PartitionCounter{Part: storage.PartitionID(p), Value: v})
+		}
+	}
+	return cs
+}
+
+// restoreCounters writes snapshot counters into the per-partition slice vs,
+// rejecting partitions the restored storage manager does not have.
+func restoreCounters(vs []int, cs []PartitionCounter, what string) error {
+	for _, c := range cs {
+		if c.Part < 0 || int(c.Part) >= len(vs) {
+			return fmt.Errorf("gc: %s counter for unknown partition %d", what, c.Part)
+		}
+		vs[c.Part] = c.Value
+	}
+	return nil
 }
 
 // Snapshot captures the heap, its object store, and its storage manager.
@@ -60,11 +79,10 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 		PhysicalFixups:   h.physicalFixups,
 		Oracleless:       h.oracleless,
 	}
-	for p, m := range h.remset {
-		for dst, srcs := range m {
-			for src, n := range srcs {
-				st.Remset = append(st.Remset, RemsetEntry{Part: p, Dst: dst, Src: src, Count: n})
-			}
+	for dst, srcs := range h.remset {
+		p, _ := h.disk.PartitionOf(dst)
+		for src, n := range srcs {
+			st.Remset = append(st.Remset, RemsetEntry{Part: p, Dst: dst, Src: src, Count: n})
 		}
 	}
 	sort.Slice(st.Remset, func(i, j int) bool {
@@ -77,22 +95,12 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 		}
 		return a.Src < b.Src
 	})
-	for p, n := range h.po {
-		if n != 0 {
-			st.Overwrites = append(st.Overwrites, PartitionCounter{Part: p, Value: n})
-		}
-	}
-	sortCounters(st.Overwrites)
+	st.Overwrites = counters(h.po)
 	for oid := range h.oracleDead {
 		st.OracleDead = append(st.OracleDead, oid)
 	}
 	sort.Slice(st.OracleDead, func(i, j int) bool { return st.OracleDead[i] < st.OracleDead[j] })
-	for p, b := range h.oracleDeadBytes {
-		if b != 0 {
-			st.OracleDeadBytes = append(st.OracleDeadBytes, PartitionCounter{Part: p, Value: b})
-		}
-	}
-	sortCounters(st.OracleDeadBytes)
+	st.OracleDeadBytes = counters(h.oracleDeadBytes)
 	return st
 }
 
@@ -117,20 +125,18 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 		if e.Count <= 0 {
 			return nil, fmt.Errorf("gc: non-positive remset count %d for %v->%v", e.Count, e.Src, e.Dst)
 		}
-		m := h.remset[e.Part]
-		if m == nil {
-			m = make(map[objstore.OID]map[objstore.OID]int)
-			h.remset[e.Part] = m
+		if p, ok := disk.PartitionOf(e.Dst); !ok || p != e.Part {
+			return nil, fmt.Errorf("gc: remset entry %v->%v filed under partition %d, not its target's", e.Src, e.Dst, e.Part)
 		}
-		srcs := m[e.Dst]
+		srcs := h.remset[e.Dst]
 		if srcs == nil {
 			srcs = make(map[objstore.OID]int)
-			m[e.Dst] = srcs
+			h.remset[e.Dst] = srcs
 		}
 		srcs[e.Src] = e.Count
 	}
-	for _, c := range st.Overwrites {
-		h.po[c.Part] = c.Value
+	if err := restoreCounters(h.po, st.Overwrites, "overwrite"); err != nil {
+		return nil, err
 	}
 	for _, oid := range st.OracleDead {
 		if store.Get(oid) == nil {
@@ -138,8 +144,8 @@ func RestoreHeap(st *HeapSnapshot) (*Heap, error) {
 		}
 		h.oracleDead[oid] = struct{}{}
 	}
-	for _, c := range st.OracleDeadBytes {
-		h.oracleDeadBytes[c.Part] = c.Value
+	if err := restoreCounters(h.oracleDeadBytes, st.OracleDeadBytes, "oracle garbage"); err != nil {
+		return nil, err
 	}
 	h.totalOverwrites = st.TotalOverwrites
 	h.totalGarbage = st.TotalGarbage

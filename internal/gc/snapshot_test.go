@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"odbgc/internal/objstore"
+	"odbgc/internal/storage"
 )
 
 // buildSnapshotHeap assembles a heap with cross-partition references, oracle
@@ -156,3 +157,40 @@ func TestCollectRetryHook(t *testing.T) {
 type faultFunc func(write bool) error
 
 func (f faultFunc) BeforeOp(write bool) error { return f(write) }
+
+// TestRestoreHeapRejectsOutOfRange feeds snapshots whose partition numbers
+// disagree with the storage manager: each must be an error, not a panic.
+func TestRestoreHeapRejectsOutOfRange(t *testing.T) {
+	good := buildSnapshotHeap(t).Snapshot()
+	parts := storage.PartitionID(len(good.Disk.Partitions))
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *HeapSnapshot)
+	}{
+		{"overwrites past the last partition", func(st *HeapSnapshot) {
+			st.Overwrites = []PartitionCounter{{Part: parts, Value: 1}}
+		}},
+		{"overwrites in a negative partition", func(st *HeapSnapshot) {
+			st.Overwrites = []PartitionCounter{{Part: -1, Value: 1}}
+		}},
+		{"oracle garbage past the last partition", func(st *HeapSnapshot) {
+			st.OracleDeadBytes = []PartitionCounter{{Part: parts, Value: good.OracleDeadBytes[0].Value}}
+		}},
+		{"remset entry outside its target's partition", func(st *HeapSnapshot) {
+			st.Remset = append([]RemsetEntry(nil), good.Remset...)
+			st.Remset[0].Part = (st.Remset[0].Part + 1) % parts
+		}},
+		{"remset entry for an unplaced target", func(st *HeapSnapshot) {
+			st.Remset = append([]RemsetEntry(nil), good.Remset...)
+			st.Remset[0].Dst = 999
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *good
+			tc.corrupt(&bad)
+			if _, err := RestoreHeap(&bad); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+}

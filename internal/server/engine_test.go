@@ -9,6 +9,8 @@ import (
 	"odbgc/internal/obs"
 	"odbgc/internal/obs/span"
 	"odbgc/internal/storage"
+	"odbgc/internal/storage/disk"
+	"odbgc/internal/storage/disk/crashtest"
 )
 
 // captureObserver keeps every Collection event together with the disk
@@ -112,5 +114,74 @@ func TestEngineCollectionRecord(t *testing.T) {
 			t.Errorf("collection %d: span estimate/target %v/%v, event %v/%v",
 				ev.Index, sp.EstimateFrac, sp.TargetFrac, ev.EstimatedFrac, ev.TargetFrac)
 		}
+	}
+}
+
+// TestEngineRejectsOversizeCreate sends creates no page can hold through a
+// durable engine: each must fail without staging a WAL record, so the data
+// directory still reopens and rebuilds into a heap afterwards.
+func TestEngineRejectsOversizeCreate(t *testing.T) {
+	cfg := storage.DefaultConfig()
+	fs := crashtest.NewJournalFS()
+	st, _, err := disk.Open(disk.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := storage.NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := gc.NewHeap(objstore.NewStore(), mgr)
+	heap.SetDurable(st)
+	pol, err := core.NewFixedRate(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(heap, EngineConfig{Policy: pol, Selection: gc.UpdatedPointer{}, Durable: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(req Request) Response {
+		c := &call{req: req, done: make(chan Response, 1)}
+		eng.process(c)
+		return <-c.done
+	}
+
+	for _, req := range []Request{
+		{Op: OpCreate, Size: 9000}, // over the 8 KB page
+		{Op: OpCreate, Size: 100, Slots: cfg.PageSize/8 + 1},
+	} {
+		if resp := do(req); resp.Status != StatusError {
+			t.Errorf("create size %d slots %d: status %v, want error", req.Size, req.Slots, resp.Status)
+		}
+	}
+	if resp := do(Request{Op: OpCreate, Size: 100, Slots: 2}); resp.Status != StatusOK {
+		t.Fatalf("valid create after rejected ones: %+v", resp)
+	}
+	if err := heap.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, _, err := disk.Open(disk.Options{FS: crashtest.FromImage(fs.Image())})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer func() { _ = rec.Close() }()
+	mgr2, err := storage.NewManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := gc.NewHeap(objstore.NewStore(), mgr2)
+	if err := RebuildHeap(rebuilt, rec); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if n := rebuilt.Store().Len(); n != 1 {
+		t.Errorf("rebuilt heap holds %d objects, want 1", n)
+	}
+	if err := rebuilt.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -52,16 +52,14 @@ func (m *Manager) Snapshot() *ManagerState {
 		st.Placements = append(st.Placements, PlacementEntry{OID: oid, Placement: pl})
 	}
 	sort.Slice(st.Placements, func(i, j int) bool { return st.Placements[i].OID < st.Placements[j].OID })
-	st.GCDirty = make([]PageID, 0, len(m.gcDirty))
-	for pg := range m.gcDirty {
-		st.GCDirty = append(st.GCDirty, pg)
-	}
-	sort.Slice(st.GCDirty, func(i, j int) bool {
-		if st.GCDirty[i].Part != st.GCDirty[j].Part {
-			return st.GCDirty[i].Part < st.GCDirty[j].Part
+	st.GCDirty = []PageID{}
+	for _, p := range m.parts {
+		for i, dirty := range p.gcDirty {
+			if dirty {
+				st.GCDirty = append(st.GCDirty, PageID{p.id, i})
+			}
 		}
-		return st.GCDirty[i].Index < st.GCDirty[j].Index
-	})
+	}
 	return st
 }
 
@@ -91,13 +89,16 @@ func RestoreManager(st *ManagerState) (*Manager, error) {
 			return nil, fmt.Errorf("storage: duplicate placement for %v in snapshot", pe.OID)
 		}
 		m.place[pe.OID] = pe.Placement
-		m.parts[pe.Placement.Part].objects[pe.OID] = struct{}{}
+		m.parts[pe.Placement.Part].add(pe.OID)
 	}
 	if err := m.buf.Restore(st.Buffer); err != nil {
 		return nil, err
 	}
 	for _, pg := range st.GCDirty {
-		m.gcDirty[pg] = struct{}{}
+		if int(pg.Part) < 0 || int(pg.Part) >= len(m.parts) || pg.Index < 0 || pg.Index >= st.Cfg.PagesPerPartition {
+			return nil, fmt.Errorf("storage: collector-dirty page %v out of range", pg)
+		}
+		m.setGCDirty(pg, true)
 	}
 	m.stats = st.Stats
 	m.class = st.Class

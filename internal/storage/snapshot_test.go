@@ -134,3 +134,30 @@ func TestRestoreManagerRejectsCorruptState(t *testing.T) {
 		t.Error("nil state accepted")
 	}
 }
+
+// TestRestoreManagerRejectsOutOfRange feeds collector-dirty pages outside
+// the partitions' page range: each must be an error, not a panic.
+func TestRestoreManagerRejectsOutOfRange(t *testing.T) {
+	m := newTestManager(t, tinyConfig())
+	if _, err := m.Allocate(1, 50); err != nil {
+		t.Fatal(err)
+	}
+	good := m.Snapshot()
+	for _, tc := range []struct {
+		name string
+		page PageID
+	}{
+		{"page past the partition's last page", PageID{0, tinyConfig().PagesPerPartition}},
+		{"negative page", PageID{0, -1}},
+		{"page of an unknown partition", PageID{1, 0}},
+		{"page of a negative partition", PageID{-1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *good
+			bad.GCDirty = []PageID{tc.page}
+			if _, err := RestoreManager(&bad); err == nil {
+				t.Error("accepted")
+			}
+		})
+	}
+}

@@ -119,9 +119,25 @@ type FaultInjector interface {
 // partition is the manager's internal per-partition state.
 type partition struct {
 	id      PartitionID
-	cursor  int // bump-allocation offset in bytes; only compaction lowers it
-	used    int // sum of sizes of objects placed here (live + garbage)
-	objects map[objstore.OID]struct{}
+	cursor  int            // bump-allocation offset in bytes; only compaction lowers it
+	used    int            // sum of sizes of objects placed here (live + garbage)
+	objects []objstore.OID // ascending
+
+	// gcDirty[i] marks page i as dirtied while the I/O class was IOGC, so
+	// the collector can flush exactly what it wrote at the end of a
+	// collection.
+	gcDirty []bool
+}
+
+// add inserts oid into the ascending object list. OIDs are allocated in
+// ascending order, so this is almost always an append.
+func (p *partition) add(oid objstore.OID) {
+	if n := len(p.objects); n == 0 || p.objects[n-1] < oid {
+		p.objects = append(p.objects, oid)
+		return
+	}
+	i, _ := slices.BinarySearch(p.objects, oid)
+	p.objects = slices.Insert(p.objects, i, oid)
 }
 
 // usedPages returns how many pages the bump cursor has touched.
@@ -142,17 +158,13 @@ type Manager struct {
 
 	allocPart PartitionID // current allocation target
 
-	// gcDirty tracks pages dirtied while the I/O class is IOGC, so the
-	// collector can flush exactly what it wrote at the end of a collection.
-	gcDirty map[PageID]struct{}
-
 	// fault, when non-nil, may inject an error at the entry of each physical
 	// operation (chaos testing; see package fault).
 	fault FaultInjector
 
-	// flushScratch is FlushGCDirty's reusable page list; valid only within
-	// one call.
-	flushScratch []PageID
+	// keepScratch is Compact's reusable survivor mark, indexed like the
+	// compacted partition's object list; valid only within one call.
+	keepScratch []bool
 }
 
 // NewManager returns a Manager with no partitions allocated yet.
@@ -165,10 +177,9 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	return &Manager{
-		cfg:     cfg,
-		place:   make(map[objstore.OID]Placement),
-		buf:     buf,
-		gcDirty: make(map[PageID]struct{}),
+		cfg:   cfg,
+		place: make(map[objstore.OID]Placement),
+		buf:   buf,
 	}, nil
 }
 
@@ -258,13 +269,7 @@ func (m *Manager) AppendObjectsIn(dst []objstore.OID, id PartitionID) []objstore
 	if int(id) < 0 || int(id) >= len(m.parts) {
 		return dst
 	}
-	p := m.parts[id]
-	start := len(dst)
-	for oid := range p.objects {
-		dst = append(dst, oid)
-	}
-	slices.Sort(dst[start:])
-	return dst
+	return append(dst, m.parts[id].objects...)
 }
 
 // charge records one read or write against the current I/O class.
@@ -297,15 +302,20 @@ func (m *Manager) pin(pg PageID, dirty, fresh bool) {
 		if m.class == IOApp {
 			// An app-triggered eviction may flush a page the collector
 			// dirtied; it is then clean on disk and no longer GC-pending.
-			delete(m.gcDirty, res.Victim)
+			m.setGCDirty(res.Victim, false)
 		}
 	}
 	if dirty && m.class == IOGC {
-		m.gcDirty[pg] = struct{}{}
+		m.setGCDirty(pg, true)
 	}
 	if res.WroteBack && m.class == IOGC {
-		delete(m.gcDirty, res.Victim)
+		m.setGCDirty(res.Victim, false)
 	}
+}
+
+// setGCDirty marks or clears a page's collector-dirty flag.
+func (m *Manager) setGCDirty(pg PageID, dirty bool) {
+	m.parts[pg.Part].gcDirty[pg.Index] = dirty
 }
 
 // newPartition appends an empty partition.
@@ -314,7 +324,7 @@ func (m *Manager) newPartition() *partition {
 	p := &partition{
 		id: PartitionID(len(m.parts)),
 		//lint:allow hotalloc retained with the partition
-		objects: make(map[objstore.OID]struct{}),
+		gcDirty: make([]bool, m.cfg.PagesPerPartition),
 	}
 	m.parts = append(m.parts, p)
 	return p
@@ -382,7 +392,7 @@ func (m *Manager) Allocate(oid objstore.OID, size int) (Placement, error) {
 	fresh := off%m.cfg.PageSize == 0 // first object on the page: no disk image yet
 	target.cursor = off + size
 	target.used += size
-	target.objects[oid] = struct{}{}
+	target.add(oid)
 	m.place[oid] = pl
 
 	m.pin(PageID{pl.Part, pl.Page}, true, fresh)
@@ -444,48 +454,48 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objst
 		return CompactResult{}, fmt.Errorf("storage: compact partition %d: %w", id, err)
 	}
 	p := m.parts[id]
-	liveSet := make(map[objstore.OID]struct{}, len(live))
+	keep := slices.Grow(m.keepScratch[:0], len(p.objects))[:len(p.objects)]
+	m.keepScratch = keep
+	clear(keep)
 	for _, oid := range live {
-		pl, ok := m.place[oid]
-		if !ok || pl.Part != id {
+		i, ok := slices.BinarySearch(p.objects, oid)
+		if !ok {
 			return CompactResult{}, fmt.Errorf("storage: live object %v not placed in partition %d", oid, id)
 		}
-		if _, dup := liveSet[oid]; dup {
+		if keep[i] {
 			return CompactResult{}, fmt.Errorf("storage: duplicate live object %v", oid)
 		}
-		liveSet[oid] = struct{}{}
+		keep[i] = true
 	}
 
 	var res CompactResult
 	oldPages := p.usedPages(m.cfg.PageSize)
 
-	// Capture original offsets before reclaiming: they order the fallback
-	// layout below.
-	oldOffset := make(map[objstore.OID]int, len(live))
-	for _, oid := range live {
-		oldOffset[oid] = m.place[oid].Offset
-	}
-
-	// Reclaim everything not in the live set.
-	for oid := range p.objects {
-		if _, keep := liveSet[oid]; !keep {
-			res.ReclaimedBytes += m.place[oid].Size
-			res.ReclaimedObjects++
-			delete(m.place, oid)
-			delete(p.objects, oid)
+	// Reclaim everything not in the live set, keeping the survivors in
+	// ascending order.
+	kept := p.objects[:0]
+	for i, oid := range p.objects {
+		if keep[i] {
+			kept = append(kept, oid)
+			continue
 		}
+		res.ReclaimedBytes += m.place[oid].Size
+		res.ReclaimedObjects++
+		delete(m.place, oid)
 	}
+	p.objects = kept
 
 	// Re-place survivors in copy order for reference locality. Copy order
 	// can pad page boundaries differently than the original layout and —
 	// rarely, in a nearly full partition — overflow it; in that case fall
 	// back to packing in original-offset order, which can only shrink
-	// every offset and therefore always fits.
+	// every offset and therefore always fits. Survivors keep their old
+	// placements until the loop below rewrites them.
 	order := live
 	if layoutEnd(order, sizeOf, m.cfg.PageSize) > m.cfg.PartitionBytes() {
 		//lint:allow hotalloc rare fallback: only a nearly full partition overflows copy order
 		order = append([]objstore.OID(nil), live...)
-		slices.SortFunc(order, func(a, b objstore.OID) int { return oldOffset[a] - oldOffset[b] })
+		slices.SortFunc(order, func(a, b objstore.OID) int { return m.place[a].Offset - m.place[b].Offset })
 	}
 	p.cursor = 0
 	p.used = 0
@@ -515,7 +525,7 @@ func (m *Manager) Compact(id PartitionID, live []objstore.OID, sizeOf func(objst
 	// without write-back.
 	for i := res.LivePages; i < oldPages; i++ {
 		if m.buf.Drop(PageID{id, i}) {
-			delete(m.gcDirty, PageID{id, i})
+			p.gcDirty[i] = false
 		}
 	}
 	return res, nil
@@ -543,25 +553,19 @@ func (m *Manager) FlushGCDirty() (int, error) {
 	if err := m.beforeOp(true); err != nil {
 		return 0, fmt.Errorf("storage: flush collector pages: %w", err)
 	}
-	pages := m.flushScratch[:0]
-	for pg := range m.gcDirty {
-		pages = append(pages, pg)
-	}
-	m.flushScratch = pages
-	slices.SortFunc(pages, func(a, b PageID) int {
-		if a.Part != b.Part {
-			return int(a.Part) - int(b.Part)
-		}
-		return a.Index - b.Index
-	})
 	n := 0
 	prev := m.SetIOClass(IOGC)
-	for _, pg := range pages {
-		if m.buf.Clean(pg) {
-			m.charge(false)
-			n++
+	for _, p := range m.parts {
+		for i, dirty := range p.gcDirty {
+			if !dirty {
+				continue
+			}
+			if m.buf.Clean(PageID{p.id, i}) {
+				m.charge(false)
+				n++
+			}
+			p.gcDirty[i] = false
 		}
-		delete(m.gcDirty, pg)
 	}
 	m.SetIOClass(prev)
 	return n, nil
@@ -579,7 +583,7 @@ func (m *Manager) FlushAll() (int, error) {
 			m.charge(false)
 			n++
 		}
-		delete(m.gcDirty, pg)
+		m.setGCDirty(pg, false)
 	}
 	return n, nil
 }
@@ -589,16 +593,15 @@ func (m *Manager) BufferContents() []PageID { return m.buf.Pages() }
 
 // CheckInvariants validates internal consistency; used by tests and the
 // simulator's self-check mode. It verifies that placements and partition
-// object sets agree and that used byte counts match.
+// object lists agree and that used byte counts match.
 func (m *Manager) CheckInvariants() error {
-	perPart := make(map[PartitionID]int)
 	for oid, pl := range m.place {
 		if int(pl.Part) < 0 || int(pl.Part) >= len(m.parts) {
 			return fmt.Errorf("storage: %v placed in unknown partition %d", oid, pl.Part)
 		}
 		p := m.parts[pl.Part]
-		if _, ok := p.objects[oid]; !ok {
-			return fmt.Errorf("storage: %v placed in partition %d but absent from its object set", oid, pl.Part)
+		if _, ok := slices.BinarySearch(p.objects, oid); !ok {
+			return fmt.Errorf("storage: %v placed in partition %d but absent from its object list", oid, pl.Part)
 		}
 		if pl.Offset < 0 || pl.Offset+pl.Size > m.cfg.PartitionBytes() {
 			return fmt.Errorf("storage: %v placement out of range: %+v", oid, pl)
@@ -609,16 +612,21 @@ func (m *Manager) CheckInvariants() error {
 		if pl.Offset%m.cfg.PageSize+pl.Size > m.cfg.PageSize {
 			return fmt.Errorf("storage: %v spans a page boundary: %+v", oid, pl)
 		}
-		perPart[pl.Part] += pl.Size
 	}
 	for _, p := range m.parts {
-		if got := perPart[p.id]; got != p.used {
-			return fmt.Errorf("storage: partition %d used=%d but placements sum to %d", p.id, p.used, got)
-		}
-		for oid := range p.objects {
-			if pl, ok := m.place[oid]; !ok || pl.Part != p.id {
+		used := 0
+		for i, oid := range p.objects {
+			if i > 0 && p.objects[i-1] >= oid {
+				return fmt.Errorf("storage: partition %d object list out of order at %v", p.id, oid)
+			}
+			pl, ok := m.place[oid]
+			if !ok || pl.Part != p.id {
 				return fmt.Errorf("storage: partition %d lists %v but placement says %+v", p.id, oid, pl)
 			}
+			used += pl.Size
+		}
+		if used != p.used {
+			return fmt.Errorf("storage: partition %d used=%d but placements sum to %d", p.id, p.used, used)
 		}
 		if p.cursor < 0 || p.cursor > m.cfg.PartitionBytes() {
 			return fmt.Errorf("storage: partition %d cursor %d out of range", p.id, p.cursor)
