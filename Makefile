@@ -54,12 +54,14 @@ test-race:
 race:
 	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/metrics/ ./internal/server/ ./internal/obs/...
 
-# Short fuzz passes over the trace decoders and the WAL scanner.
+# Short fuzz passes over the trace decoders, the WAL scanner and the
+# serving frame decoder.
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzJSONReader -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -fuzz FuzzScanWAL -fuzztime 15s ./internal/storage/disk/
+	$(GO) test -fuzz FuzzFrame -fuzztime 15s ./internal/server/
 
 # Benchmark sweep. One iteration per benchmark keeps the sweep quick; the
 # parsed JSON baseline (ns/op, allocs/op per benchmark) lands in

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -10,10 +11,14 @@ import (
 // Client is a minimal synchronous client for the frame protocol: one
 // request in flight at a time, ID assignment, deadline plumbing. The load
 // generator and the tests both drive the server through it, so protocol
-// drift breaks loudly in both places. Not safe for concurrent use; open
-// one Client per session.
+// drift breaks loudly in both places. Like the server's sessions, it reads
+// and writes through per-connection buffers, so each request leaves in one
+// write. Not safe for concurrent use; open one Client per session, and
+// close it after an error from Do.
 type Client struct {
 	conn   net.Conn
+	r      *bufio.Reader
+	w      *bufio.Writer
 	nextID uint64
 }
 
@@ -23,14 +28,22 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn,
+		r: bufio.NewReaderSize(conn, connBufBytes),
+		w: bufio.NewWriterSize(conn, connBufBytes)}
 }
 
 // Close ends the session.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Conn exposes the raw connection for chaos injection (slow writes,
-// malformed frames, mid-request hangups).
+// Conn exposes the raw connection, beneath the buffers, for chaos
+// injection (slow writes, malformed frames, mid-request hangups). Bytes
+// written to it bypass Do's framing, so a caller that writes to it should
+// close the Client afterwards.
 func (c *Client) Conn() net.Conn { return c.conn }
 
 // Do sends one request and waits for its response. The ctx deadline, when
@@ -45,11 +58,11 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 	if err := c.conn.SetDeadline(dl); err != nil {
 		return Response{}, err
 	}
-	if err := WriteFrame(c.conn, req); err != nil {
+	if err := writeFlush(c.w, req); err != nil {
 		return Response{}, err
 	}
 	var resp Response
-	if err := ReadFrame(c.conn, &resp); err != nil {
+	if err := ReadFrame(c.r, &resp); err != nil {
 		return Response{}, err
 	}
 	if resp.ID != req.ID {

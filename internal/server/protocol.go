@@ -20,9 +20,13 @@
 // The wire protocol is deliberately small: length-prefixed JSON frames
 // (a big-endian uint32 byte count, then that many bytes of one JSON
 // document) over TCP. One request frame yields exactly one response frame.
+// Both ends of a connection send each frame in one write and read frames
+// through a per-connection buffer, so a frame that arrives whole costs one
+// read syscall rather than one for the header and one for the body.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -34,6 +38,12 @@ import (
 // rejected before allocation, so a hostile length prefix cannot make the
 // server reserve gigabytes.
 const MaxFrameBytes = 64 * 1024
+
+// connBufBytes sizes the read and the write buffer each end of a
+// connection keeps. Requests and responses are a few hundred bytes, so one
+// buffer holds a whole frame; a larger frame still goes through, in more
+// than one syscall.
+const connBufBytes = 4 << 10
 
 // Request ops.
 const (
@@ -126,6 +136,15 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
+// writeFlush writes v as one frame into bw and flushes it, so the frame
+// leaves in a single write to the connection beneath.
+func writeFlush(bw *bufio.Writer, v any) error {
+	if err := WriteFrame(bw, v); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 // ReadFrame reads one length-prefixed frame into v. A declared length past
 // MaxFrameBytes or a payload that is not valid JSON returns an error
 // wrapping errMalformed, which the session layer counts and treats as
@@ -138,8 +157,10 @@ func ReadFrame(r io.Reader, v any) error {
 // ReadFrameTimed is ReadFrame with stage timing for the tracing layer: when
 // now is non-nil, arrival is the tick at which the frame's length header
 // had fully arrived (the request observably exists) and decoded the tick
-// after JSON decoding — their difference is the span's decode stage. A nil
-// now skips the clock reads and returns zero ticks.
+// after JSON decoding — their difference is the span's decode stage. When r
+// is the connection's buffered reader, arrival is when the header became
+// available from that buffer: the syscall that filled it usually brought
+// the body too. A nil now skips the clock reads and returns zero ticks.
 func ReadFrameTimed(r io.Reader, v any, now func() int64) (arrival, decoded int64, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -90,4 +92,56 @@ func TestWriteFrameRejectsOversize(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Fatalf("oversize rejection leaked %d bytes onto the wire", buf.Len())
 	}
+}
+
+// FuzzFrame reads arbitrary bytes as a stream of frames through the same
+// kind of buffered reader a session uses, until the stream errors. It must
+// never panic, must fail only as malformed or as a (possibly mid-frame)
+// EOF, must never accept a declared length outside (0, MaxFrameBytes], and
+// every frame it accepts must survive a WriteFrame/ReadFrame round trip.
+func FuzzFrame(f *testing.F) {
+	seeds := []Request{
+		{ID: 1, Op: OpPing},
+		{ID: 7, Op: OpSet, OID: 42, Slot: 3, Dst: 99},
+		{ID: 1 << 40, Op: OpCreate, Size: 256, Slots: 4},
+	}
+	for _, in := range seeds {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, in); err != nil {
+			f.Fatal(err)
+		}
+		wire := buf.Bytes()
+		var out Request
+		if err := ReadFrame(bufio.NewReader(bytes.NewReader(wire)), &out); err != nil || out != in {
+			f.Fatalf("seed %+v decoded as %+v, %v", in, out, err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(data), connBufBytes)
+		rest := data
+		for {
+			var req Request
+			err := ReadFrame(br, &req)
+			if err != nil {
+				if !IsMalformed(err) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("unexpected error class: %v", err)
+				}
+				return
+			}
+			n := binary.BigEndian.Uint32(rest)
+			if n == 0 || n > MaxFrameBytes {
+				t.Fatalf("accepted a frame declaring %d bytes", n)
+			}
+			rest = rest[4+n:]
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, req); err != nil {
+				t.Fatalf("re-encoding %+v: %v", req, err)
+			}
+			var again Request
+			if err := ReadFrame(&buf, &again); err != nil || again != req {
+				t.Fatalf("round trip of %+v gave %+v, %v", req, again, err)
+			}
+		}
+	})
 }

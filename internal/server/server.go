@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -246,14 +247,20 @@ func (s *Server) snapshotConns() []net.Conn {
 // the drain begins, or ctx ends. sess is the accept-order session number;
 // with tracing on, request seq of this session gets the deterministic span
 // ID RequestID(sess, seq) and per-stage timings on the engine tick clock.
+//
+// Frames pass through per-session buffers, and each response is flushed as
+// one write; deadlines, the drain nudge and idle reaping act on conn
+// beneath them.
 func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 	rec := s.engine.cfg.Recorder
 	acceptTick := s.engine.Now()
+	br := bufio.NewReaderSize(conn, connBufBytes)
+	bw := bufio.NewWriterSize(conn, connBufBytes)
 	var seq uint64
 	for ctx.Err() == nil {
 		if s.draining.Load() {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.DrainGrace))
-			_ = WriteFrame(conn, Response{Status: StatusClosed,
+			_ = writeFlush(bw, Response{Status: StatusClosed,
 				Error: simerr.SessionClosedf("server draining").Error()})
 			return
 		}
@@ -265,7 +272,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.DrainGrace))
 		}
 		var req Request
-		arrival, decoded, err := ReadFrameTimed(conn, &req, s.engine.Now)
+		arrival, decoded, err := ReadFrameTimed(br, &req, s.engine.Now)
 		if err != nil {
 			switch {
 			case IsMalformed(err):
@@ -274,7 +281,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 				// then close. No span: the request never decoded.
 				s.m.Malformed()
 				_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-				_ = WriteFrame(conn, Response{Status: StatusError, Error: err.Error()})
+				_ = writeFlush(bw, Response{Status: StatusError, Error: err.Error()})
 			case isTimeout(err) && !s.draining.Load():
 				s.m.IdleReaped()
 			case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
@@ -305,7 +312,7 @@ func (s *Server) session(ctx context.Context, conn net.Conn, sess uint64) {
 		sp.SetStage(span.StageService, resp.ServiceUs*1000)
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		wStart := s.engine.Now()
-		werr := WriteFrame(conn, resp)
+		werr := writeFlush(bw, resp)
 		wEnd := s.engine.Now()
 		sp.SetStage(span.StageWrite, wEnd-wStart)
 		s.m.Stage(MetricStageWrite, float64(wEnd-wStart)/1e6, sp.SpanID())

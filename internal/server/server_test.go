@@ -2,9 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,6 +36,14 @@ type testSrv struct {
 // startServer boots a complete serving stack on an ephemeral port. Zero
 // fields in the configs get test-friendly values.
 func startServer(t *testing.T, scfg Config, ecfg EngineConfig) *testSrv {
+	t.Helper()
+	return startServerOn(t, scfg, ecfg, nil)
+}
+
+// startServerOn is startServer with the bound listener passed through wrap
+// (when non-nil) before Serve starts, so a test can see every accepted
+// connection.
+func startServerOn(t *testing.T, scfg Config, ecfg EngineConfig, wrap func(net.Listener) net.Listener) *testSrv {
 	t.Helper()
 	store := objstore.NewStore()
 	mgr, err := storage.NewManager(storage.Config{PageSize: 1024, PagesPerPartition: 4, BufferPages: 8})
@@ -65,6 +77,9 @@ func startServer(t *testing.T, scfg Config, ecfg EngineConfig) *testSrv {
 	addr, err := srv.Listen()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if wrap != nil {
+		srv.ln = wrap(srv.ln)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ts := &testSrv{
@@ -475,5 +490,156 @@ func TestDrainAnswersClosed(t *testing.T) {
 	resp := ts.eng.Submit(context.Background(), Request{Op: OpPing}, nil)
 	if resp.Status != StatusClosed {
 		t.Fatalf("post-drain submit answered %q, want closed", resp.Status)
+	}
+}
+
+// countingConn counts the Read and Write calls made on a connection; on a
+// TCP socket each call is one syscall.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countingListener wraps each accepted connection in a countingConn and
+// hands the first one to the test on conns.
+type countingListener struct {
+	net.Listener
+	conns chan *countingConn
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countingConn{Conn: conn}
+	select {
+	case l.conns <- cc:
+	default:
+	}
+	return cc, nil
+}
+
+// TestOneSyscallPerFrame pins the syscall shape of both ends of a
+// connection: each Client.Do makes exactly one write, and a session that
+// receives each request in one client write answers K requests with
+// exactly K writes and at most K+1 reads (the last one sees EOF).
+func TestOneSyscallPerFrame(t *testing.T) {
+	const k = 5
+	ln := &countingListener{conns: make(chan *countingConn, 1)}
+	ts := startServerOn(t, Config{}, EngineConfig{}, func(inner net.Listener) net.Listener {
+		ln.Listener = inner
+		return ln
+	})
+	raw, err := net.DialTimeout("tcp", ts.addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: raw}
+	cli := newClient(cc)
+	defer func() { _ = cli.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	for i := 0; i < k; i++ {
+		before := cc.writes.Load()
+		if resp, err := cli.Do(ctx, Request{Op: OpPing}); err != nil || resp.Status != StatusOK {
+			t.Fatalf("ping %d: %+v, %v", i, resp, err)
+		}
+		if got := cc.writes.Load() - before; got != 1 {
+			t.Errorf("Client.Do %d made %d writes, want 1", i, got)
+		}
+	}
+	srvConn := <-ln.conns
+	_ = cli.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for ts.srv.sessions.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session did not end after the client closed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := srvConn.writes.Load(); got != k {
+		t.Errorf("session made %d writes for %d responses, want %d", got, k, k)
+	}
+	if got := srvConn.reads.Load(); got > k+1 {
+		t.Errorf("session made %d reads for %d requests, want at most %d", got, k, k+1)
+	}
+}
+
+// TestFrameBoundariesUnderBuffering feeds a session request bytes merged,
+// split and padded across the read buffer's edges: every frame must still
+// be answered in order, and a hostile length prefix must still end the
+// connection as malformed.
+func TestFrameBoundariesUnderBuffering(t *testing.T) {
+	frame := func(payload string) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	ping := func(id int) []byte { return frame(fmt.Sprintf(`{"id":%d,"op":"ping"}`, id)) }
+	padded := `{"id":1,` + strings.Repeat(" \n\t", connBufBytes/3+100) + `"op":"ping"}`
+	cases := []struct {
+		name      string
+		wire      []byte
+		chunk     int      // bytes per client write; 0 sends wire in one write
+		ids       []uint64 // IDs of the ok responses expected, in order
+		malformed bool     // after those, an error frame and a closed connection
+	}{
+		{name: "two frames in one write", wire: append(ping(1), ping(2)...), ids: []uint64{1, 2}},
+		{name: "one byte per write", wire: ping(1), chunk: 1, ids: []uint64{1}},
+		{name: "padded past the read buffer", wire: frame(padded), ids: []uint64{1}},
+		{name: "hostile length after a good frame", wire: append(ping(1), 0xFF, 0xFF, 0xFF, 0xFF),
+			ids: []uint64{1}, malformed: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := startServer(t, Config{}, EngineConfig{})
+			conn, err := net.DialTimeout("tcp", ts.addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			chunk := tc.chunk
+			if chunk == 0 {
+				chunk = len(tc.wire)
+			}
+			for off := 0; off < len(tc.wire); off += chunk {
+				if _, err := conn.Write(tc.wire[off:min(off+chunk, len(tc.wire))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range tc.ids {
+				var resp Response
+				if err := ReadFrame(conn, &resp); err != nil {
+					t.Fatalf("response for request %d: %v", id, err)
+				}
+				if resp.ID != id || resp.Status != StatusOK {
+					t.Fatalf("got %+v, want ok for request %d", resp, id)
+				}
+			}
+			if !tc.malformed {
+				return
+			}
+			var resp Response
+			if err := ReadFrame(conn, &resp); err != nil || resp.Status != StatusError {
+				t.Fatalf("hostile prefix answered %+v, %v; want an error frame", resp, err)
+			}
+			if _, err := conn.Read(make([]byte, 1)); err == nil {
+				t.Fatal("connection survived a malformed frame")
+			}
+			if got := ts.counter(MetricMalformed); got < 1 {
+				t.Errorf("odbgc_server_malformed_total = %v, want >= 1", got)
+			}
+		})
 	}
 }
